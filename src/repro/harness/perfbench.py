@@ -17,9 +17,12 @@ Methodology:
   workload generation, not simulation, and must not pollute throughput.
 * Every measurement constructs the machine fresh and runs it directly,
   bypassing the run caches entirely (a cache hit would measure nothing).
-* Timing is serial, one cell at a time, on ``time.perf_counter``; with
-  ``repeat > 1`` the best (minimum-time) repetition is kept, which
-  filters scheduler noise without averaging it in.
+* Timing is serial, one cell at a time, on ``time.perf_counter``.  The
+  engines are interleaved per (kernel, mode) cell, alternating which
+  runs first on each repeat, so the fast/interpreted ratio the CI gate
+  checks compares the same host moment.  With ``repeat > 1`` each
+  engine keeps its best (minimum-time) repetition, which filters
+  scheduler noise without averaging it in.
 * The report carries the same provenance block as every other report
   (schema version + code fingerprint) so the regression gate
   (``scripts/check_perf_regression.py``) can refuse stale baselines.
@@ -56,30 +59,28 @@ def _geomean(values) -> float:
     return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
-def _measure_cell(trace, mode: str, engine: str, repeat: int) -> dict:
-    """Time one (kernel, mode, engine) cell; returns the cell record."""
+def _time_once(trace, mode: str, engine: str) -> tuple[float, object]:
+    """Run one (kernel, mode, engine) cell once; returns (seconds, result)."""
     from repro.core import DynaSpAM, DynaSpAMConfig
     from repro.ooo.fastpath import make_pipeline
 
+    # "fast" is the production stack (compiled fastpath + invocation
+    # memo); "interpreted" is the pure reference with both tiers off.
     fast = engine == "fast"
-    best = None
-    for _ in range(max(1, repeat)):
-        # "fast" is the production stack (compiled fastpath + invocation
-        # memo); "interpreted" is the pure reference with both tiers off.
-        with use_fastpath(fast), use_memo(fast):
-            if mode == "baseline":
-                pipeline = make_pipeline()
-                started = time.perf_counter()
-                result = pipeline.run_trace(trace.trace)
-                elapsed = time.perf_counter() - started
-            else:
-                machine = DynaSpAM(ds_config=DynaSpAMConfig(mode=mode))
-                started = time.perf_counter()
-                result = machine.run(trace.trace, trace.program)
-                elapsed = time.perf_counter() - started
-        if best is None or elapsed < best[0]:
-            best = (elapsed, result)
-    elapsed, result = best
+    with use_fastpath(fast), use_memo(fast):
+        if mode == "baseline":
+            pipeline = make_pipeline()
+            started = time.perf_counter()
+            result = pipeline.run_trace(trace.trace)
+        else:
+            machine = DynaSpAM(ds_config=DynaSpAMConfig(mode=mode))
+            started = time.perf_counter()
+            result = machine.run(trace.trace, trace.program)
+        return time.perf_counter() - started, result
+
+
+def _cell_record(mode: str, engine: str, elapsed: float, result) -> dict:
+    """The JSON record of one timed cell."""
     stats = result.stats
     instructions = stats.instructions
     invocations = getattr(stats, "fabric_invocations", 0)
@@ -105,6 +106,27 @@ def _measure_cell(trace, mode: str, engine: str, repeat: int) -> dict:
     }
 
 
+def _measure_pair(trace, mode: str, engines, repeat: int) -> dict:
+    """Time every engine on one (kernel, mode) cell, interleaved.
+
+    Each repeat runs all engines back to back, alternating which goes
+    first, so the fast/interpreted ratio compares the same host moment
+    instead of two passes minutes apart.  Returns engine -> cell record
+    built from that engine's best (minimum-time) repeat.
+    """
+    best: dict[str, tuple[float, object]] = {}
+    for index in range(max(1, repeat)):
+        order = engines if index % 2 == 0 else tuple(reversed(engines))
+        for engine in order:
+            elapsed, result = _time_once(trace, mode, engine)
+            if engine not in best or elapsed < best[engine][0]:
+                best[engine] = (elapsed, result)
+    return {
+        engine: _cell_record(mode, engine, *best[engine])
+        for engine in engines
+    }
+
+
 def perfbench_report(
     scale: float = 0.1,
     kernels=None,
@@ -124,14 +146,17 @@ def perfbench_report(
     # dictionary lookup and never shows up inside a timed region.
     traces = {abbrev: generate_trace(abbrev, scale) for abbrev in kernels}
 
-    per_engine: dict[str, dict] = {}
-    for engine in engines:
-        cells = []
-        for abbrev in kernels:
-            for mode in modes:
-                cell = _measure_cell(traces[abbrev], mode, engine, repeat)
+    engines = tuple(engines)
+    cells_of: dict[str, list] = {engine: [] for engine in engines}
+    for abbrev in kernels:
+        for mode in modes:
+            pair = _measure_pair(traces[abbrev], mode, engines, repeat)
+            for engine, cell in pair.items():
                 cell["kernel"] = abbrev
-                cells.append(cell)
+                cells_of[engine].append(cell)
+
+    per_engine: dict[str, dict] = {}
+    for engine, cells in cells_of.items():
         per_engine[engine] = {
             "cells": cells,
             "geomean_instr_per_sec": _geomean(
@@ -187,7 +212,7 @@ def _profile_fast_engine(traces, modes) -> dict:
     with PROFILER.section("perfbench_profile_pass"):
         for trace in traces.values():
             for mode in modes:
-                _measure_cell(trace, mode, "fast", repeat=1)
+                _time_once(trace, mode, "fast")
     profiler.disable()
     stats = pstats.Stats(profiler)
     stats.sort_stats("cumulative")

@@ -76,3 +76,30 @@ def test_render_perfbench():
     assert "fast" in text
     assert "interpreted" in text
     assert "speedup" in text
+
+
+def test_engines_interleave_per_cell(monkeypatch):
+    """Both engines run back to back on every (kernel, mode) cell, and
+    the engine that goes first alternates from one repeat to the next."""
+    from repro.harness import perfbench
+
+    calls = []
+    real = perfbench._time_once
+
+    def recording(trace, mode, engine):
+        calls.append((mode, engine))
+        return real(trace, mode, engine)
+
+    monkeypatch.setattr(perfbench, "_time_once", recording)
+    report = perfbench_report(
+        scale=0.02, kernels=["KM"], modes=("baseline", "accelerate"),
+        repeat=3,
+    )
+    fast, slow = ENGINES
+    order = [fast, slow, slow, fast, fast, slow]
+    assert calls == [("baseline", e) for e in order] + [
+        ("accelerate", e) for e in order
+    ]
+    for engine in ENGINES:
+        cells = report["engines"][engine]["cells"]
+        assert [c["mode"] for c in cells] == ["baseline", "accelerate"]
