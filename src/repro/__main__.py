@@ -638,10 +638,6 @@ def cmd_bench(args) -> int:
             "memory_hits": memory_hits,
             "runs_simulated": runs_simulated,
             "hit_ratio": served / max(1, served + runs_simulated),
-            "predict_memo_hits": PROFILER.counters.get(
-                "predict_memo_hits", 0),
-            "predict_memo_misses": PROFILER.counters.get(
-                "predict_memo_misses", 0),
         },
         "profile": profile,
     }

@@ -28,7 +28,6 @@ from repro.core.multifabric import FabricPool
 from repro.core.naive_mapper import NaiveMapper
 from repro.core.offload import OffloadEngine, TRACE_SQUASH_DETECT
 from repro.core.tcache import TCache, TraceWindowBuilder
-from repro.engine import memo_enabled
 from repro.fabric.config import FabricConfig
 from repro.isa.instructions import DynamicInstruction
 from repro.isa.opcodes import Opcode
@@ -50,10 +49,6 @@ class DynaSpAMConfig:
     #: Future-work feature: end cap-split traces at their last branch so
     #: the next trace anchors immediately (no dead zone).
     smart_trace_selection: bool = False
-    #: Memoize predicted trace keys on (anchor PC, predictor history),
-    #: invalidated through predictor table stamps.  Results are identical
-    #: either way; the flag exists for A/B testing and diagnostics.
-    predict_memo: bool = True
     num_fabrics: int = 1
     mapper: str = "resource_aware"  # | "naive" (ablation)
     tcache_entries: int = 256
@@ -183,15 +178,6 @@ class DynaSpAM:
         self._offloaded_keys: set = set()
         self._squashes = 0
         self.program: Program | None = None
-        #: (anchor_pc, history) -> (predicted key, predictor stamp deps).
-        self._predict_memo: dict[tuple[int, int], tuple] = {}
-        #: Anchor work already performed by a batched super-step that the
-        #: run loop must consume instead of redoing: ``(index, predicted
-        #: key, ccache entry | _NO_ENTRY)``.  The batch loop probes the
-        #: next anchor to decide whether to continue; when it stops, that
-        #: probe (predictor walk, config-cache lookup, their counters and
-        #: events) has already happened and must not be repeated.
-        self._pending_anchor: tuple | None = None
 
     # ------------------------------------------------------------------
     def run(self, trace: list[DynamicInstruction], program: Program) -> DynaSpAMResult:
@@ -201,7 +187,6 @@ class DynaSpAM:
         if cfg.smart_trace_selection:
             self.builder.program = program  # enables static lookahead
         self.pipeline.note_phase("host")
-        self._pending_anchor = None
         active = cfg.mode != "baseline"
         i = 0
         n = len(trace)
@@ -229,32 +214,15 @@ class DynaSpAM:
         self.ccache.tick(1)
 
     # ------------------------------------------------------------------
-    #: Sentinel: a pending anchor that carries no config-cache lookup.
-    _NO_ENTRY = object()
-
     def _at_anchor(self, trace, i) -> int | None:
         """Handle a trace anchor; returns the next index if it consumed
         instructions (offload or mapping phase), else None."""
-        pending = self._pending_anchor
-        entry = self._NO_ENTRY
-        if pending is not None:
-            self._pending_anchor = None
-            if pending[0] == i:
-                predicted, entry = pending[1], pending[2]
-            else:  # pragma: no cover - stale handoff, recompute
-                predicted = self._predict_key(trace[i].pc)
-        else:
-            predicted = self._predict_key(trace[i].pc)
+        cfg = self.config
+        predicted = self._predict_key(trace[i].pc)
         if predicted is None:
             return None
-        if entry is self._NO_ENTRY:
-            entry = self.ccache.lookup(predicted)
-            self.pipeline.stats.config_cache_reads += 1
-        return self._dispatch_anchor(trace, i, predicted, entry)
-
-    def _dispatch_anchor(self, trace, i, predicted, entry) -> int | None:
-        """Post-lookup anchor handling (shared with the batch loop)."""
-        cfg = self.config
+        entry = self.ccache.lookup(predicted)
+        self.pipeline.stats.config_cache_reads += 1
         if entry is not None and entry.configuration is not None:
             if entry.ready and cfg.mode == "accelerate":
                 return self._attempt_offload(trace, i, entry, predicted)
@@ -272,90 +240,31 @@ class DynaSpAM:
 
     # ------------------------------------------------------------------
     def _attempt_offload(self, trace, i, entry, predicted) -> int | None:
-        consumed = self._offload_occurrence(trace, i, entry, predicted)
-        if consumed is None:
-            return None
-        i += consumed
-        if not memo_enabled():
-            return i
-        # Batched super-step (memo tier): keep offloading while the very
-        # next anchor predicts the same ready configuration.  Every
-        # per-invocation interaction with the host (predictor probe and
-        # training, config-cache lookup and tick, fabric-pool LRU, store
-        # queue, stats, events) happens exactly as in the unbatched loop;
-        # the batch only skips re-entering the run loop between
-        # occurrences, and each invocation replays the same memoized
-        # timeline whenever its dynamic-input key repeats.
         stats = self.pipeline.stats
-        n = len(trace)
-        batched = 0
-        while i < n and self.builder.at_anchor:
-            predicted_next = self._predict_key(trace[i].pc)
-            if predicted_next is None:
-                self._pending_anchor = (i, None, self._NO_ENTRY)
-                break
-            entry_next = self.ccache.lookup(predicted_next)
-            stats.config_cache_reads += 1
-            if (predicted_next != predicted
-                    or entry_next is not entry
-                    or entry_next is None
-                    or entry_next.configuration is None
-                    or not entry_next.ready):
-                # Streak over: hand the probe's results to the run loop so
-                # the general dispatch handles this anchor exactly once.
-                self._pending_anchor = (i, predicted_next, entry_next)
-                break
-            consumed = self._offload_occurrence(trace, i, entry, predicted)
-            if consumed is None:
-                # Squash or hysteresis mid-streak: the run loop would host-
-                # step this instruction next; do exactly that and stop.
-                self._emit_batch(predicted, batched)
-                self._host_step(trace[i])
-                return i + 1
-            batched += 1
-            stats.batched_invocations += 1
-            i += consumed
-        self._emit_batch(predicted, batched)
-        return i
-
-    def _emit_batch(self, key, batched: int) -> None:
-        if batched and self.bus is not None:
-            self.bus.emit("offload.batch", key=key, invocations=batched + 1)
-
-    def _offload_occurrence(self, trace, i, entry, predicted) -> int | None:
-        """One offload attempt at anchor ``i``; returns instructions
-        consumed, or None if the occurrence ran (or will run) on the
-        host.  Exactly the pre-batching ``_attempt_offload`` body."""
-        stats = self.pipeline.stats
-        segment = self._segment_fast(trace, i, entry.configuration, predicted)
-        if segment is None:
-            segment = self._actual_segment(trace, i)
-            actual_key = self._segment_key(segment)
-            if actual_key != predicted:
-                # Embedded branch outcome mismatch: the invocation squashes
-                # in ROB' and the correct path re-executes on the host.
-                stats.fabric_squashes += 1
-                self._squashes += 1
-                # The divergent branch re-executes (and pays its mispredict
-                # penalty) on the host path; the fat entry's squash itself
-                # only costs the ROB' detection bubble.
-                seq, dispatch = self.pipeline.macro_dispatch()
-                self.pipeline.stall_fetch_until(
-                    dispatch + TRACE_SQUASH_DETECT, cause="squash_branch"
+        segment = self._actual_segment(trace, i)
+        actual_key = self._segment_key(segment)
+        if actual_key != predicted:
+            # Embedded branch outcome mismatch: the invocation squashes
+            # in ROB' and the correct path re-executes on the host.
+            stats.fabric_squashes += 1
+            self._squashes += 1
+            # The divergent branch re-executes (and pays its mispredict
+            # penalty) on the host path; the fat entry's squash itself
+            # only costs the ROB' detection bubble.
+            seq, dispatch = self.pipeline.macro_dispatch()
+            self.pipeline.stall_fetch_until(
+                dispatch + TRACE_SQUASH_DETECT, cause="squash_branch"
+            )
+            if self.bus is not None:
+                self.bus.emit(
+                    "offload.squash",
+                    cycle=dispatch + TRACE_SQUASH_DETECT,
+                    seq=seq,
+                    key=predicted,
+                    cause="branch",
+                    branch_pc=self._divergent_branch_pc(segment, predicted),
                 )
-                if self.bus is not None:
-                    self.bus.emit(
-                        "offload.squash",
-                        cycle=dispatch + TRACE_SQUASH_DETECT,
-                        seq=seq,
-                        key=predicted,
-                        cause="branch",
-                        branch_pc=self._divergent_branch_pc(
-                            segment, predicted
-                        ),
-                    )
-                return None
-            self._note_occurrence_probe(entry.configuration, segment)
+            return None
         acquired = self.pool.acquire(
             entry.configuration,
             max(self.pipeline.next_fetch_cycle, self.pipeline.fetch_barrier),
@@ -378,7 +287,7 @@ class DynaSpAM:
         self._offloaded_keys.add(entry.key)
         self.ccache.tick(len(segment))
         self.builder.resume_after(segment)
-        return len(segment)
+        return i + len(segment)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -395,47 +304,6 @@ class DynaSpAM:
                 return dyn.pc
             index += 1
         return None
-
-    @staticmethod
-    def _note_occurrence_probe(configuration, segment) -> None:
-        """Record a key-matched occurrence's branch layout so later
-        occurrences validate by spot-check instead of a full re-walk."""
-        if getattr(configuration, "_occurrence_probe", None) is not None:
-            return
-        configuration._occurrence_probe = (
-            len(segment),
-            tuple(
-                (offset, dyn.pc, bool(dyn.taken))
-                for offset, dyn in enumerate(segment)
-                if dyn.is_branch
-            ),
-        )
-
-    def _segment_fast(self, trace, i, configuration, predicted):
-        """Key-matched occurrence at ``i`` as a plain slice, or None.
-
-        Sound because the trace key pins the whole instruction sequence:
-        with the anchor PC equal (``predicted[0]`` *is* ``trace[i].pc``)
-        and every embedded branch showing the same PC and outcome as a
-        previously key-matched occurrence, the committed stream between
-        branches is straight-line static code — the general walk would
-        reproduce the identical segment and key.  Any mismatch (including
-        a truncated trace tail) falls back to the full walk, which owns
-        squash detection.
-        """
-        if not memo_enabled():
-            return None
-        probe = getattr(configuration, "_occurrence_probe", None)
-        if probe is None:
-            return None
-        length, branches = probe
-        if i + length > len(trace):
-            return None
-        for offset, pc, taken in branches:
-            dyn = trace[i + offset]
-            if dyn.pc != pc or bool(dyn.taken) is not taken:
-                return None
-        return trace[i:i + length]
 
     # ------------------------------------------------------------------
     def _mapping_phase(self, trace, i, predicted) -> int | None:
@@ -465,53 +333,19 @@ class DynaSpAM:
         return i + len(segment)
 
     # ------------------------------------------------------------------
-    #: Memo entries kept before a wholesale clear bounds memory on long
-    #: phase-changing workloads; steady-state working sets are far smaller.
-    _PREDICT_MEMO_CAP = 1 << 15
-
     def _predict_key(self, pc: int) -> tuple | None:
-        """Predicted trace key at ``pc``, memoized on (PC, history).
-
-        A memo entry is valid while the predictor-table indices its walk
-        read are unmodified (checked through ``BranchPredictor.update_stamp``
-        — training a constituent branch invalidates the entry).
-        """
-        bpred = self.pipeline.bpred
-        history = bpred.history
-        if not self.config.predict_memo:
-            return self._walk_predict_key(pc, history)[0]
-        stats = self.pipeline.stats
-        entry = self._predict_memo.get((pc, history))
-        if entry is not None:
-            key, deps = entry
-            stamps = bpred.update_stamp
-            for index, stamp in deps:
-                if stamps[index] != stamp:
-                    break
-            else:
-                stats.predict_memo_hits += 1
-                return key
-        stats.predict_memo_misses += 1
-        key, deps = self._walk_predict_key(pc, history)
-        memo = self._predict_memo
-        if len(memo) >= self._PREDICT_MEMO_CAP:
-            memo.clear()
-        memo[(pc, history)] = (key, deps)
-        return key
-
-    def _walk_predict_key(self, pc: int, history: int) -> tuple:
         """Front-end walk of the static program under predicted branches.
 
         Hops branch-to-branch over the program's precomputed
         ``StaticSegment`` summaries instead of probing ``by_pc`` per
-        instruction.  Returns ``(key_or_None, stamp_deps)`` where
-        ``stamp_deps`` names the predictor-table state the walk read.
+        instruction.  Returns the predicted trace key, or None when the
+        program halts before the trace fills.
         """
         program = self.program
         bpred = self.pipeline.bpred
+        history = bpred.history
         cfg = self.config
         trace_length = cfg.trace_length
-        deps: list[tuple[int, int]] = []
         outcomes: list[bool] = []
         length = 0
         cursor = pc
@@ -522,13 +356,12 @@ class DynaSpAM:
                 if seg.count >= remaining:
                     length = trace_length  # cap reached before the HALT
                     break
-                return None, tuple(deps)
+                return None
             if seg.count > remaining or seg.branch_pc is None:
                 length = trace_length  # cap splits the block mid-run
                 break
             length += seg.count
-            taken, dep = bpred.peek_with_deps(seg.branch_pc, history)
-            deps.extend(dep)
+            taken = bpred.peek_with_history(seg.branch_pc, history)
             history = bpred.shift_history(history, taken)
             outcomes.append(taken)
             if len(outcomes) >= cfg.max_branches:
@@ -539,7 +372,7 @@ class DynaSpAM:
                         cursor, trace_length + 1)
                     > trace_length - length):
                 break  # next block cannot fit: end the trace here
-        return (pc, tuple(outcomes), length), tuple(deps)
+        return (pc, tuple(outcomes), length)
 
     def _actual_segment(self, trace, i) -> list[DynamicInstruction]:
         """The oracle-path trace occurrence starting at index ``i``."""

@@ -4,12 +4,10 @@
 sweep take end to end"; this module answers a different question: **how
 fast does the simulator itself execute**, in dynamic instructions per
 second and fabric invocations per second, per kernel and mode, for each
-engine.  The "fast" engine is the full production stack — the compiled
-fast path of ``repro.ooo.fastpath`` / ``repro.fabric.compiled`` *plus*
-the invocation-timing memo of ``repro.fabric.memo`` — while
-"interpreted" forces both tiers off, i.e. the pure reference model, so
-the reported speedup is the whole optimization stack against the
-reference.
+engine.  The "fast" engine is the production stack — the compiled fast
+path of ``repro.ooo.fastpath`` / ``repro.fabric.compiled`` — while
+"interpreted" forces it off, i.e. the pure reference model, so the
+reported speedup is the compiled tier against the reference.
 
 Methodology:
 
@@ -38,12 +36,13 @@ from __future__ import annotations
 import math
 import time
 
-from repro.engine import use_fastpath, use_memo
+from repro.engine import use_fastpath
 
 #: Version of the perfbench JSON layout (independent of the simulation
 #: report schema — throughput reports are not `repro diff` inputs).
-#: v2: memo-tier counters per cell and per engine; cells with zero
-#: invocations report ``invocations_per_sec: null`` instead of ``0.0``.
+#: v2: cells with zero invocations report ``invocations_per_sec: null``
+#: instead of ``0.0``.  Older v2 reports may also carry per-cell
+#: memo-tier counters, which no reader uses.
 PERFBENCH_SCHEMA_VERSION = 2
 
 #: The Figure 8 suite's execution modes.
@@ -64,10 +63,9 @@ def _time_once(trace, mode: str, engine: str) -> tuple[float, object]:
     from repro.core import DynaSpAM, DynaSpAMConfig
     from repro.ooo.fastpath import make_pipeline
 
-    # "fast" is the production stack (compiled fastpath + invocation
-    # memo); "interpreted" is the pure reference with both tiers off.
-    fast = engine == "fast"
-    with use_fastpath(fast), use_memo(fast):
+    # "fast" is the production stack (compiled fastpath); "interpreted"
+    # is the pure reference.
+    with use_fastpath(engine == "fast"):
         if mode == "baseline":
             pipeline = make_pipeline()
             started = time.perf_counter()
@@ -100,9 +98,6 @@ def _cell_record(mode: str, engine: str, elapsed: float, result) -> dict:
         "invocations_per_sec": (
             invocations / elapsed if invocations else None
         ),
-        "memo_hits": getattr(stats, "invocation_memo_hits", 0),
-        "memo_misses": getattr(stats, "invocation_memo_misses", 0),
-        "batched_invocations": getattr(stats, "batched_invocations", 0),
     }
 
 
@@ -167,11 +162,6 @@ def perfbench_report(
             ),
             "total_instructions": sum(c["instructions"] for c in cells),
             "total_wall_seconds": sum(c["wall_seconds"] for c in cells),
-            "total_memo_hits": sum(c["memo_hits"] for c in cells),
-            "total_memo_misses": sum(c["memo_misses"] for c in cells),
-            "total_batched_invocations": sum(
-                c["batched_invocations"] for c in cells
-            ),
         }
 
     report = {
@@ -256,15 +246,6 @@ def render_perfbench(report: dict) -> str:
     if "speedup" in report:
         lines.append(f"{'speedup':>12}: {report['speedup']:.2f}x "
                      f"(fast vs interpreted, geomean instr/s)")
-    fast = engines.get("fast")
-    if fast and "total_memo_hits" in fast:
-        probes = fast["total_memo_hits"] + fast["total_memo_misses"]
-        rate = fast["total_memo_hits"] / probes if probes else 0.0
-        lines.append(
-            f"{'memo':>12}: {fast['total_memo_hits']:,} hits / "
-            f"{fast['total_memo_misses']:,} misses ({rate:.1%}) | "
-            f"{fast['total_batched_invocations']:,} batched invocations"
-        )
     return "\n".join(lines)
 
 

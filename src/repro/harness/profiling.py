@@ -2,7 +2,7 @@
 
 The module-level ``PROFILER`` accumulates per-phase wall-clock time
 (trace generation, simulation, cache I/O, parallel fan-out) and named
-counters (memo and cache hits/misses).  The CLI prints it under
+counters (cache hits/misses, runs simulated).  The CLI prints it under
 ``--profile``; ``repro bench`` embeds a snapshot in its JSON report.
 """
 

@@ -181,10 +181,7 @@ def _simulate(spec: RunSpec, sink=None):
     with TRACER.span("sim.dynaspam",
                      benchmark=spec.abbrev, scale=spec.scale):
         with PROFILER.section("simulate_dynaspam"):
-            result = machine.run(trace.trace, trace.program)
-    PROFILER.bump("predict_memo_hits", result.stats.predict_memo_hits)
-    PROFILER.bump("predict_memo_misses", result.stats.predict_memo_misses)
-    return result
+            return machine.run(trace.trace, trace.program)
 
 
 def execute_spec(spec: RunSpec, sink=None):

@@ -8,8 +8,8 @@ checks, per program, that
 1. the interpreter's printed words equal the lowered ISA program's
    architectural output region, and
 2. the DynaSpAM cycle simulation consumes the lowered trace to the
-   same cycle count under all four engine tiers
-   (fastpath x memo), and
+   same cycle count under both engine tiers (interpreted and
+   fast path), and
 3. (optionally) every optimization pass pipeline preserves the
    interpreter's output.
 
@@ -263,22 +263,20 @@ def generate_program(seed: int) -> str:
 # Differential gate
 # ---------------------------------------------------------------------------
 def tier_cycles(lowered, trace) -> dict[str, int]:
-    """DynaSpAM cycle counts for the same trace under all four tiers.
+    """DynaSpAM cycle counts for the same trace under both engine tiers.
 
     Simulates directly (engine choice is deliberately not part of the
     run-cache identity, so going through the cache would compare a
     result with itself).
     """
     from repro.core import DynaSpAM
-    from repro.engine import use_fastpath, use_memo
+    from repro.engine import use_fastpath
 
     cycles: dict[str, int] = {}
     for fastpath in (False, True):
-        for memo in (False, True):
-            with use_fastpath(fastpath), use_memo(memo):
-                result = DynaSpAM().run(trace, lowered.program)
-            cycles[f"fastpath={int(fastpath)},memo={int(memo)}"] = \
-                result.cycles
+        with use_fastpath(fastpath):
+            result = DynaSpAM().run(trace, lowered.program)
+        cycles[f"fastpath={int(fastpath)}"] = result.cycles
     return cycles
 
 

@@ -1,5 +1,7 @@
 """Integration tests for the full DynaSpAM framework."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core import DynaSpAM, DynaSpAMConfig
@@ -134,6 +136,42 @@ def test_unbiased_branches_cause_squashes():
     # Data-dependent branches: offload predictions sometimes wrong.
     if out.stats.fabric_invocations:
         assert out.squashes > 0
+
+
+def _mismatched_key(key, case):
+    """A predicted key the occurrence at the anchor does not match."""
+    pc, outcomes, length = key
+    if case == "flipped_branch":
+        return pc, (not outcomes[0],) + outcomes[1:], length
+    return pc, outcomes, length + 1  # truncated: the trace ends early
+
+
+@pytest.mark.parametrize("case", ["flipped_branch", "truncated"])
+def test_key_mismatched_occurrence_squashes_to_host(case):
+    """An occurrence whose embedded branches or length differ from the
+    predicted key squashes in ROB' and runs on the host: the full
+    segment walk, not any earlier match, decides."""
+    from repro.obs import MemorySink
+
+    result = run_program(hot_loop(4), make_memory())
+    trace = result.trace
+    anchor = next(i for i, d in enumerate(trace) if d.is_branch) + 1
+    sink = MemorySink()
+    ds = DynaSpAM(ds_config=DynaSpAMConfig(), sink=sink)
+    ds.program = result.program
+    actual = ds._segment_key(ds._actual_segment(trace, anchor))
+    predicted = _mismatched_key(actual, case)
+    entry = SimpleNamespace(configuration=None, key=predicted)
+
+    assert ds._attempt_offload(trace, anchor, entry, predicted) is None
+    assert ds.pipeline.stats.fabric_squashes == 1
+    assert ds.pipeline.stats.fabric_invocations == 0
+    assert ds.pool.reconfigurations == 0
+    squash, = [e for e in sink.events if e.type == "offload.squash"]
+    assert squash.data["cause"] == "branch"
+    first_branch = next(d for d in trace[anchor:] if d.is_branch)
+    expect_pc = first_branch.pc if case == "flipped_branch" else None
+    assert squash.data["branch_pc"] == expect_pc
 
 
 def test_results_identical_across_repeat_runs():

@@ -1,21 +1,12 @@
-"""Bit-identity of the optimized engine tiers against the interpreted model.
+"""Bit-identity of the compiled fast path against the interpreted model.
 
 The compiled fast path (``repro.ooo.fastpath`` + ``repro.fabric.compiled``)
-and the invocation-timing memo (``repro.fabric.memo``) are *implementation*
-choices, never modeling choices: every cycle count, statistic, report
-byte, and traced event sequence must be exactly what the interpreted
-reference model produces.  These tests sweep the full kernel suite across
-execution modes with each tier toggled independently — all four
-fastpath x memo combinations — and demand byte equality, not closeness,
-of the serialized results.
-
-The only tolerated difference is the ``ENGINE_TIER_COUNTERS`` /
-``ENGINE_TIER_EVENTS`` carve-out: tier hit/miss/batch counters and events
-are simulator-internal observability with no modeled meaning, so identity
-is asserted on reports with those counters removed and on event streams
-with those events filtered (and ``seq`` renumbered).  Within a single
-tier setting nothing is filtered: fastpath on/off must agree byte for
-byte, tier events included.
+is an *implementation* choice, never a modeling choice: every cycle
+count, statistic, report byte, and traced event sequence must be exactly
+what the interpreted reference model produces.  These tests sweep the
+full kernel suite across execution modes with the fast path on and off
+and demand byte equality, not closeness, of the serialized results.
+Nothing is scrubbed or filtered before comparing.
 """
 
 import json
@@ -23,16 +14,7 @@ import json
 import pytest
 
 from repro.core import DynaSpAM, DynaSpAMConfig
-from repro.engine import (
-    ENGINE_TIER_COUNTERS,
-    ENGINE_TIER_EVENTS,
-    fastpath_enabled,
-    memo_enabled,
-    set_fastpath,
-    set_memo,
-    use_fastpath,
-    use_memo,
-)
+from repro.engine import fastpath_enabled, set_fastpath, use_fastpath
 from repro.ooo.config import CoreConfig
 from repro.ooo.fastpath import FastOOOPipeline, make_pipeline
 from repro.ooo.pipeline import InstrTiming, OOOPipeline
@@ -50,28 +32,18 @@ VARIANTS = (
     ("mapping_only", True),
 )
 
-#: Every fastpath x memo combination; (False, False) is the pure
-#: interpreted reference all others must match.
-TIER_COMBOS = (
-    (False, False),
-    (True, False),
-    (False, True),
-    (True, True),
-)
+#: Both fast-path settings; False is the pure interpreted reference.
+TIER_COMBOS = (False, True)
 
 
-def _run_cell(
-    abbrev: str, mode: str, speculation: bool, fast: bool, memo: bool
-) -> str:
-    """One simulation with the engine tiers forced, serialized canonically.
+def _run_cell(abbrev: str, mode: str, speculation: bool, fast: bool) -> str:
+    """One simulation with the engine forced, serialized canonically.
 
     Machines are constructed directly — not through the harness run
-    caches — so every tier combination genuinely simulates.  Tier
-    hit/miss counters are removed before serializing: they are the one
-    sanctioned difference between tiers.
+    caches — so both engines genuinely simulate.
     """
     tr = generate_trace(abbrev, SCALE)
-    with use_fastpath(fast), use_memo(memo):
+    with use_fastpath(fast):
         if mode == "baseline":
             result = make_pipeline().run_trace(tr.trace)
         else:
@@ -79,27 +51,19 @@ def _run_cell(
                 ds_config=DynaSpAMConfig(mode=mode, speculation=speculation)
             )
             result = machine.run(tr.trace, tr.program)
-    stats = result.stats.as_dict()
-    for counter in ENGINE_TIER_COUNTERS:
-        stats.pop(counter, None)
-    return json.dumps(
-        {"cycles": result.cycles, "stats": stats},
-        sort_keys=True,
-    )
+    return _serialize(result)
 
 
 @pytest.mark.parametrize("abbrev", ALL_ABBREVS)
 def test_engine_bit_identity(abbrev):
     for mode, speculation in VARIANTS:
-        interpreted = _run_cell(
-            abbrev, mode, speculation, fast=False, memo=False
+        interpreted, fast = (
+            _run_cell(abbrev, mode, speculation, fast)
+            for fast in TIER_COMBOS
         )
-        for fast, memo in TIER_COMBOS[1:]:
-            combo = _run_cell(abbrev, mode, speculation, fast, memo)
-            assert combo == interpreted, (
-                f"{abbrev} {mode} spec={speculation} "
-                f"fastpath={fast} memo={memo}: engines diverge"
-            )
+        assert fast == interpreted, (
+            f"{abbrev} {mode} spec={speculation}: engines diverge"
+        )
 
 
 def _serialize(result) -> str:
@@ -246,52 +210,36 @@ def test_mixed_process_and_run_chunks_match_run_trace(config):
     assert _serialize(mixed.finish()) == whole
 
 
-def _strip_tier_counters(report: dict) -> dict:
-    """Remove engine-tier counters wherever stats dicts appear."""
-    for block in ("stats", "baseline_stats"):
-        stats = report.get(block)
-        if isinstance(stats, dict):
-            for counter in ENGINE_TIER_COUNTERS:
-                stats.pop(counter, None)
-    return report
-
-
 def test_simulation_report_bit_identity(tmp_path, monkeypatch):
-    """The full ``repro run --json`` report is byte-identical per tier
-    combination, modulo the tier counters.
+    """The full ``repro run --json`` report is byte-identical with the
+    fast path on and off.
 
-    Each combination gets its own disk-cache root and a cleared
-    in-memory layer, so no combination can serve another's simulation
-    back.
+    Each setting gets its own disk-cache root and a cleared in-memory
+    layer, so neither can serve the other's simulation back.
     """
     from repro.harness import diskcache
     from repro.harness.runner import clear_run_cache, simulation_report
 
     reports = {}
-    for fast, memo in TIER_COMBOS:
+    for fast in TIER_COMBOS:
         clear_run_cache()
-        monkeypatch.setenv(
-            "REPRO_CACHE_DIR", str(tmp_path / f"f{int(fast)}m{int(memo)}")
-        )
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / f"f{int(fast)}"))
         diskcache.configure()  # drop memoized cache objects, re-read env
-        with use_fastpath(fast), use_memo(memo):
-            reports[(fast, memo)] = json.dumps(
-                _strip_tier_counters(simulation_report("NW", SCALE)),
-                sort_keys=True,
+        with use_fastpath(fast):
+            reports[fast] = json.dumps(
+                simulation_report("NW", SCALE), sort_keys=True
             )
     clear_run_cache()
     diskcache.configure()
-    reference = reports[(False, False)]
-    for combo in TIER_COMBOS[1:]:
-        assert reports[combo] == reference, f"combo {combo} diverges"
+    assert reports[True] == reports[False]
 
 
-def _event_stream(fast: bool, memo: bool):
+def _event_stream(fast: bool):
     from repro.obs import MemorySink
 
     tr = generate_trace("KM", SCALE)
     sink = MemorySink()
-    with use_fastpath(fast), use_memo(memo):
+    with use_fastpath(fast):
         machine = DynaSpAM(
             ds_config=DynaSpAMConfig(mode="accelerate"), sink=sink
         )
@@ -303,32 +251,10 @@ def _event_stream(fast: bool, memo: bool):
 
 
 def test_traced_event_streams_identical():
-    """Tracing sees the same event sequence from both fastpath settings —
-    exactly, tier events included (memo stays at its default on both)."""
-    streams = {
-        fast: _event_stream(fast, memo_enabled()) for fast in (True, False)
-    }
+    """Tracing sees exactly the same event sequence from both fastpath
+    settings."""
+    streams = {fast: _event_stream(fast) for fast in TIER_COMBOS}
     assert streams[True], "traced run produced no events"
-    assert streams[True] == streams[False]
-
-
-def test_traced_event_streams_identical_across_memo():
-    """Memo on vs off produces the same modeled event sequence.
-
-    The memo tier emits its own ``fabric.memo_*`` / ``offload.batch``
-    events, which shift ``seq`` numbering; identity holds after
-    filtering ``ENGINE_TIER_EVENTS`` and renumbering.
-    """
-    streams = {}
-    for memo in (True, False):
-        events = _event_stream(fast=True, memo=memo)
-        streams[memo] = [
-            (index, e[1], e[2], e[3])
-            for index, e in enumerate(
-                e for e in events if e[1] not in ENGINE_TIER_EVENTS
-            )
-        ]
-    assert streams[True], "traced run produced no modeled events"
     assert streams[True] == streams[False]
 
 
@@ -348,40 +274,6 @@ def test_engine_flag_roundtrip(monkeypatch):
         assert type(pipeline) is OOOPipeline
     finally:
         set_fastpath(previous)
-
-
-def test_memo_flag_roundtrip():
-    previous = set_memo(True)
-    try:
-        assert memo_enabled()
-        with use_memo(False):
-            assert not memo_enabled()
-            with use_memo(True):
-                assert memo_enabled()
-            assert not memo_enabled()
-        assert memo_enabled()
-    finally:
-        set_memo(previous)
-
-
-def test_memo_tier_engages():
-    """The default-on memo tier must actually hit, batch, and go cold
-    somewhere — guard against a silently dead tier.  KNN's dynamic inputs
-    repeat heavily (timing replays); KM's mostly don't (its configurations
-    retire via the adaptive bail-out) but its anchors arrive back-to-back
-    (super-step batching)."""
-    stats = {}
-    # KNN needs a slightly longer run than the identity scale for its
-    # dynamic inputs to settle into repetition within the probe window.
-    for abbrev, scale in (("KNN", 0.1), ("KM", SCALE)):
-        tr = generate_trace(abbrev, scale)
-        with use_fastpath(True), use_memo(True):
-            machine = DynaSpAM(ds_config=DynaSpAMConfig(mode="accelerate"))
-            stats[abbrev] = machine.run(tr.trace, tr.program).stats
-    assert stats["KNN"].invocation_memo_hits > 0
-    assert stats["KNN"].invocation_memo_misses > 0
-    assert stats["KM"].invocation_memo_misses > 0
-    assert stats["KM"].batched_invocations > 0
 
 
 def test_hot_structures_stay_bounded():

@@ -1,6 +1,6 @@
 """Differential fuzzing gate: seeded random programs must agree between
-the reference interpreter and the lowered ISA program, across all four
-engine-tier combinations, and under every optimization pass."""
+the reference interpreter and the lowered ISA program, across both
+engine tiers, and under every optimization pass."""
 
 from repro.lang.fuzz import differential_check, generate_program, run_fuzz
 

@@ -82,7 +82,7 @@ def test_bench_command_writes_report(tmp_path, capsys, monkeypatch):
     assert set(report["geomean"]) == {"mapping", "no_spec", "spec"}
     assert len(report["per_benchmark"]) == 11
     assert "disk" in report["cache"]
-    assert "predict_memo_hits" in report["cache"]
+    assert "runs_simulated" in report["cache"]
 
 
 def test_bench_command_no_cache(tmp_path, capsys):
