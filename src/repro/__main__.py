@@ -744,26 +744,6 @@ def cmd_serve(args) -> int:
         workers=args.workers,
         queue_depth=args.queue_depth,
         sim_jobs=args.jobs or 1,
-        pool=args.pool,
-    )
-
-
-def cmd_route(args) -> int:
-    from repro.service.router import run_router
-
-    if args.replicas < 1:
-        return _fail(f"invalid --replicas {args.replicas}: must be >= 1")
-    if args.workers is not None and args.workers < 1:
-        return _fail(f"invalid --workers {args.workers}: must be >= 1")
-    return run_router(
-        args.host,
-        args.port,
-        replicas=args.replicas,
-        workers=args.workers,
-        queue_depth=args.queue_depth,
-        sim_jobs=args.jobs or 1,
-        pool=args.pool,
-        vnodes=args.vnodes,
     )
 
 
@@ -773,6 +753,10 @@ def cmd_loadtest(args) -> int:
 
     if args.rate <= 0:
         return _fail(f"invalid --rate {args.rate}: must be > 0")
+    if args.duration <= 0:
+        return _fail(f"invalid --duration {args.duration}: must be > 0")
+    if args.jobs is not None and args.jobs < 1:
+        return _fail(f"invalid --jobs {args.jobs}: must be >= 1")
     if args.mix not in MIXES:
         return _fail(f"unknown --mix {args.mix}")
     try:
@@ -1070,45 +1054,18 @@ def main(argv=None) -> int:
     serve_parser.add_argument("--workers", type=int, default=None,
                               help="simulation workers (default: min(cpu, 8),"
                                    " capped by REPRO_MAX_JOBS)")
-    serve_parser.add_argument("--pool", default="process",
-                              choices=["process", "thread"],
-                              help="worker pool backend (process = one "
-                                   "forked simulator per worker)")
     serve_parser.add_argument("--queue-depth", type=int, default=64,
                               help="max open (queued + running) jobs")
     serve_parser.add_argument("--jobs", type=int, default=None, metavar="N",
                               help="process fan-out per batch "
                                    "(default: in-worker serial)")
 
-    route_parser = sub.add_parser(
-        "route",
-        help="front N spawned serve replicas with a consistent-hash router")
-    route_parser.add_argument("--host", default="127.0.0.1")
-    route_parser.add_argument("--port", type=int, default=8764,
-                              help="router listen port (0 picks a free port)")
-    route_parser.add_argument("--replicas", type=int, default=2,
-                              help="repro serve replicas to spawn")
-    route_parser.add_argument("--workers", type=int, default=None,
-                              help="workers per replica (default: "
-                                   "min(cpu, 8) capped by REPRO_MAX_JOBS)")
-    route_parser.add_argument("--pool", default="process",
-                              choices=["process", "thread"],
-                              help="worker pool backend per replica")
-    route_parser.add_argument("--queue-depth", type=int, default=64,
-                              help="max open jobs per replica")
-    route_parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                              help="process fan-out per batch inside each "
-                                   "replica worker")
-    route_parser.add_argument("--vnodes", type=int, default=128,
-                              help="virtual nodes per replica on the "
-                                   "consistent-hash ring")
-
     loadtest_parser = sub.add_parser(
         "loadtest",
         help="open-loop arrival-rate load generator with a JSON SLO report")
     loadtest_parser.add_argument("--host", default="127.0.0.1")
     loadtest_parser.add_argument("--port", type=int, default=DEFAULT_PORT,
-                                 help="service or router port to drive")
+                                 help="service port to drive")
     loadtest_parser.add_argument("--rate", type=float, default=2.0,
                                  help="target arrival rate (jobs/sec)")
     loadtest_parser.add_argument("--duration", type=float, default=5.0,
@@ -1214,8 +1171,6 @@ def _dispatch(args) -> int:
         return cmd_perfbench(args)
     if args.command == "serve":
         return cmd_serve(args)
-    if args.command == "route":
-        return cmd_route(args)
     if args.command == "loadtest":
         return cmd_loadtest(args)
     if args.command == "submit":

@@ -7,19 +7,16 @@ long-lived server that many clients can share:
 * ``jobs``      — the validated job request/record model,
 * ``queue``     — bounded admission-controlled job queue (429 on overload),
 * ``scheduler`` — batches queued jobs, single-flights duplicates, and
-  shards them across a worker pool,
-* ``workers``   — the pool backends (forked processes by default; the
-  content-addressed disk cache is the shared artifact store),
+  shards them across the worker pool,
+* ``workers``   — the forked process pool (the content-addressed disk
+  cache is the store its workers share) and the injected test seam,
 * ``metrics``   — counters, latency rings, and worker-pool gauges,
 * ``server``    — the asyncio HTTP/1.1 front end (stdlib only),
 * ``client``    — a small blocking Python client (backoff polling),
-* ``router``    — consistent-hash dispatch across N serve replicas
-  (``repro route``), with health checks and aggregated ``/metrics``,
 * ``loadtest``  — the open-loop arrival-rate generator behind
   ``repro loadtest`` and the CI SLO gate.
 
-Start one with ``python -m repro serve`` (or a fleet with
-``python -m repro route --replicas N``) and talk to it with
+Start one with ``python -m repro serve`` and talk to it with
 ``python -m repro submit`` or :class:`repro.service.client.ServiceClient`.
 """
 
@@ -34,18 +31,15 @@ from repro.service.jobs import Job, JobRequest, JobState
 from repro.service.queue import JobQueue
 from repro.service.client import JobFailed, ServerBusy, ServiceClient
 from repro.service.loadtest import run_loadtest
-from repro.service.router import HashRing, ReplicaRouter, RouterServer
 from repro.service.server import ServiceServer, ThreadedServer
 from repro.service.workers import (
     ProcessWorkerPool,
-    ThreadWorkerPool,
     WorkerPool,
     default_workers,
 )
 
 __all__ = [
     "Draining",
-    "HashRing",
     "InvalidJob",
     "Job",
     "JobFailed",
@@ -54,13 +48,10 @@ __all__ = [
     "JobState",
     "ProcessWorkerPool",
     "QueueFull",
-    "ReplicaRouter",
-    "RouterServer",
     "ServerBusy",
     "ServiceClient",
     "ServiceError",
     "ServiceServer",
-    "ThreadWorkerPool",
     "ThreadedServer",
     "UnknownJob",
     "WorkerPool",

@@ -1,7 +1,6 @@
 """Open-loop load generator + SLO report for the simulation service.
 
-``repro loadtest`` drives a running service (a single ``repro serve`` or
-a ``repro route`` fleet — same wire protocol) with a Poisson-free,
+``repro loadtest`` drives a running ``repro serve`` with a Poisson-free,
 deterministic open-loop schedule: job *i* is due at ``i / rate`` seconds
 after start, and its latency is measured **from that due time**, not
 from when the client thread got around to submitting it.  That is the
@@ -138,7 +137,7 @@ def run_loadtest(
     port: int = 8763,
     *,
     rate: float = 2.0,
-    duration: float | None = 5.0,
+    duration: float = 5.0,
     total: int | None = None,
     mix: str = "cold-heavy",
     scale: float = 0.05,
@@ -149,12 +148,18 @@ def run_loadtest(
     """Run one open-loop loadtest and return the report dict.
 
     ``total`` overrides ``ceil(rate * duration)``.  Raises
-    :class:`ServiceUnreachable` if the target is down at the start.
+    :class:`ValueError` for a schedule with no jobs or a non-positive
+    rate or duration, and :class:`ServiceUnreachable` if the target is
+    down at the start.
     """
     if rate <= 0:
         raise ValueError(f"rate must be positive, got {rate}")
     if total is None:
-        total = max(1, math.ceil(rate * (duration or 5.0)))
+        if duration <= 0:
+            raise ValueError(f"duration must be positive, got {duration}")
+        total = math.ceil(rate * duration)
+    if total < 1:
+        raise ValueError(f"total must be at least 1, got {total}")
     payloads = build_schedule(mix, total, scale=scale, seed=seed)
     client = ServiceClient(host, port, timeout=min(timeout, 60.0))
     before = client.metrics()

@@ -4,8 +4,8 @@ The dispatch loop pulls queued jobs in batches, coalesces jobs whose
 ``flight_key`` matches an in-flight execution (single-flight: the
 duplicate attaches to the leader's flight and never simulates), shards
 the batch of *new* flights across idle workers, and hands each shard to
-a :class:`repro.service.workers.WorkerPool` — forked processes by
-default, so N workers really are N cores of simulation.
+a :class:`repro.service.workers.ProcessWorkerPool` — forked processes,
+so N workers really are N cores of simulation.
 
 Inside a worker the batch first warms the harness caches through
 ``repro.harness.parallel`` — one ``execute_runs`` call over the union of
@@ -32,9 +32,9 @@ from repro.service.metrics import ServiceMetrics
 from repro.service.queue import JobQueue
 from repro.service.workers import (
     InjectedWorkerPool,
+    ProcessWorkerPool,
     WorkerPool,
     default_workers,
-    make_pool,
 )
 
 
@@ -77,7 +77,7 @@ def execute_batch(
     progress_cb=None,
     job_ids: dict | None = None,
 ) -> dict:
-    """Resolve one batch of deduplicated requests (runs in a worker thread).
+    """Resolve one batch of deduplicated requests (runs in a worker process).
 
     Returns ``{flight_key: ("ok", report) | ("error", message)}`` — a
     failure in one request never poisons its batchmates.
@@ -147,7 +147,6 @@ class Scheduler:
         sim_jobs: int = 1,
         max_batch: int = 8,
         execute_batch_fn=None,
-        pool: str | WorkerPool = "process",
     ) -> None:
         self.queue = queue
         self.metrics = metrics
@@ -155,16 +154,13 @@ class Scheduler:
         self.sim_jobs = max(1, sim_jobs)
         self.max_batch = max(1, max_batch)
         #: Injected executors (tests) keep the legacy two-argument call;
-        #: only the stock pools get progress/correlation plumbing.
+        #: only the process pool gets progress/correlation plumbing.
         if execute_batch_fn is not None:
             self.pool: WorkerPool = InjectedWorkerPool(
                 self.workers, execute_batch_fn
             )
-        elif isinstance(pool, WorkerPool):
-            self.pool = pool
-            self.workers = pool.workers
         else:
-            self.pool = make_pool(pool, self.workers)
+            self.pool = ProcessWorkerPool(self.workers)
         self.flights = FlightTable()
         self._wakeup = asyncio.Event()
         self._tasks: set[asyncio.Task] = set()
@@ -242,10 +238,9 @@ class Scheduler:
                     "phase": "dispatched",
                     "requests_total": len(requests),
                 }
-        # Heartbeats arrive on a worker thread (thread pool: live,
-        # mid-batch) or on the loop thread after the batch returns
-        # (process pool: the worker's final beats, merged back); writing
-        # a fresh dict per update keeps readers race-free without a lock.
+        # Heartbeats arrive on the loop thread after the batch returns
+        # (the worker's final beats, merged back); writing a fresh dict
+        # per update keeps readers race-free without a lock.
         def on_progress(key, beat):
             flight = flight_map.get(key)
             if flight is not None:

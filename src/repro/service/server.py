@@ -69,7 +69,6 @@ class ServiceServer:
         sim_jobs: int = 1,
         retention: int = 256,
         max_batch: int = 8,
-        pool: str = "process",
     ) -> None:
         self.host = host
         self.port = port
@@ -78,10 +77,8 @@ class ServiceServer:
         self.scheduler = Scheduler(
             self.queue, self.metrics,
             workers=workers, sim_jobs=sim_jobs, max_batch=max_batch,
-            pool=pool,
         )
         self.workers = self.scheduler.workers
-        self.pool_kind = self.scheduler.pool.kind
         self._server: asyncio.base_events.Server | None = None
         # Host-runtime telemetry: the service always traces (spans feed
         # the `repro_span_duration_seconds` histograms on /metrics; the
@@ -295,7 +292,6 @@ def run_server(
     workers: int | None = None,
     queue_depth: int = 64,
     sim_jobs: int = 1,
-    pool: str = "process",
 ) -> int:
     """Run a server until SIGTERM/SIGINT, drain, and return 0 (CLI body)."""
 
@@ -303,12 +299,11 @@ def run_server(
         server = ServiceServer(
             host, port,
             workers=workers, queue_depth=queue_depth, sim_jobs=sim_jobs,
-            pool=pool,
         )
         await server.start()
         print(
             f"repro.service listening on http://{server.host}:{server.port} "
-            f"(pool={server.pool_kind} workers={server.workers} "
+            f"(workers={server.workers} "
             f"queue-depth={queue_depth} sim-jobs={sim_jobs})",
             flush=True,
         )

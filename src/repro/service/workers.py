@@ -5,23 +5,20 @@ bookkeeping); a :class:`WorkerPool` is mechanism — it owns the executor
 that actually runs ``execute_batch`` and reports busy/total gauges plus
 a batch-duration histogram for ``/metrics``.
 
-Three pools implement the same ``run_batch`` contract:
+Two pools implement the same ``run_batch`` contract:
 
-* :class:`ProcessWorkerPool` (the default) forks one process per worker
-  — the paper-scale answer to the GIL.  Each batch re-applies the disk
-  cache config, sheds inherited telemetry with ``begin_worker``, and
-  ships its profiler counters, disk-cache stats, wall-clock spans, and
-  final progress heartbeats back for the parent to merge, exactly like
-  ``repro.harness.parallel`` does for sweep fan-out.  The
-  content-addressed disk cache (``REPRO_CACHE_DIR``) is the shared
-  artifact store: a result simulated by any worker is a disk hit for
-  every other worker — and for every other replica pointed at the same
-  root.
-* :class:`ThreadWorkerPool` keeps the original in-process thread
-  executor (zero fork overhead, live mid-batch heartbeats; throughput
-  capped by the GIL).
-* :class:`InjectedWorkerPool` wraps a test-supplied ``execute_batch_fn``
-  with the legacy two-argument call signature.
+* :class:`ProcessWorkerPool` — the one the service runs — forks one
+  process per worker, so N workers are N cores of simulation with no
+  GIL cap.  Each batch re-applies the disk cache config, sheds inherited
+  telemetry with ``begin_worker``, and ships its profiler counters,
+  disk-cache stats, wall-clock spans, and final progress heartbeats back
+  for the parent to merge, exactly like ``repro.harness.parallel`` does
+  for sweep fan-out.  The content-addressed disk cache
+  (``REPRO_CACHE_DIR``) is the store the workers share: a result
+  simulated by any worker is a disk hit for every other worker.
+* :class:`InjectedWorkerPool` is the test seam: it runs a test-supplied
+  ``execute_batch_fn`` on a thread executor with the legacy two-argument
+  call signature.
 
 ``default_workers()`` is ``min(cpu, 8)`` capped by ``REPRO_MAX_JOBS`` —
 the same env contract the harness pool honors.
@@ -48,8 +45,6 @@ from repro.service.metrics import LatencyHistogram
 #: Hard ceiling on the process-pool default; wider pools thrash the
 #: small queue depths the service runs with.
 MAX_DEFAULT_WORKERS = 8
-
-POOL_KINDS = ("process", "thread")
 
 
 def default_workers() -> int:
@@ -154,34 +149,6 @@ class WorkerPool:
         raise NotImplementedError
 
     def shutdown(self, wait: bool = True) -> None:
-        raise NotImplementedError
-
-
-class ThreadWorkerPool(WorkerPool):
-    """The original in-process executor (GIL-bound, live heartbeats)."""
-
-    kind = "thread"
-
-    def __init__(self, workers: int) -> None:
-        super().__init__(workers)
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="repro-sim"
-        )
-
-    async def run_batch(
-        self, requests, sim_jobs, job_ids, on_progress=None
-    ) -> dict:
-        from repro.service.scheduler import execute_batch
-
-        call = functools.partial(
-            execute_batch, requests, sim_jobs,
-            progress_cb=on_progress, job_ids=job_ids,
-        )
-        loop = asyncio.get_running_loop()
-        with self._track():
-            return await loop.run_in_executor(self._executor, call)
-
-    def shutdown(self, wait: bool = True) -> None:
         self._executor.shutdown(wait=wait)
 
 
@@ -205,9 +172,6 @@ class InjectedWorkerPool(WorkerPool):
         loop = asyncio.get_running_loop()
         with self._track():
             return await loop.run_in_executor(self._executor, call)
-
-    def shutdown(self, wait: bool = True) -> None:
-        self._executor.shutdown(wait=wait)
 
 
 class ProcessWorkerPool(WorkerPool):
@@ -269,17 +233,3 @@ class ProcessWorkerPool(WorkerPool):
             for key, beat in beats.items():
                 on_progress(key, beat)
         return outcomes
-
-    def shutdown(self, wait: bool = True) -> None:
-        self._executor.shutdown(wait=wait)
-
-
-def make_pool(kind: str, workers: int) -> WorkerPool:
-    """Build a pool by name (the ``repro serve --pool`` values)."""
-    if kind == "process":
-        return ProcessWorkerPool(workers)
-    if kind == "thread":
-        return ThreadWorkerPool(workers)
-    raise ValueError(
-        f"unknown worker pool kind {kind!r}; expected one of {POOL_KINDS}"
-    )

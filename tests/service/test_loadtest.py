@@ -67,8 +67,21 @@ def test_build_schedule_is_deterministic_and_mix_checked():
         build_schedule("tepid", 10)
 
 
+@pytest.mark.parametrize("knobs", [
+    {"total": 0},
+    {"total": -5},
+    {"duration": 0},
+    {"duration": -1.0},
+])
+def test_run_loadtest_rejects_empty_schedule_before_connecting(knobs):
+    # Port 1 is never listening: validation must fail first, with a
+    # ValueError rather than ServiceUnreachable.
+    with pytest.raises(ValueError):
+        run_loadtest(port=1, rate=2.0, **knobs)
+
+
 def test_run_loadtest_duplicate_heavy_coalesces_and_conserves(cold_caches):
-    with ThreadedServer(queue_depth=64, pool="thread", workers=2) as server:
+    with ThreadedServer(queue_depth=64, workers=2) as server:
         report = run_loadtest(
             port=server.port, rate=50.0, total=9,
             mix="duplicate-heavy", timeout=120,
@@ -90,9 +103,10 @@ def test_run_loadtest_duplicate_heavy_coalesces_and_conserves(cold_caches):
 
 
 def test_loadtest_report_feeds_slo_gate_and_history(tmp_path, cold_caches):
-    with ThreadedServer(queue_depth=64, pool="thread", workers=2) as server:
-        # Distinct scale from the other live test: its payloads are
-        # memoized in-process by then, which would defeat coalescing.
+    with ThreadedServer(queue_depth=64, workers=2) as server:
+        # The workers fork from a parent whose caches cold_caches just
+        # emptied, so every flight simulates and stays open long enough
+        # for its burst's duplicates to coalesce on it.
         report = run_loadtest(
             port=server.port, rate=50.0, total=6,
             mix="duplicate-heavy", scale=0.04, timeout=120,

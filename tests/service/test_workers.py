@@ -1,8 +1,6 @@
-"""Tests for the worker-pool abstraction (thread, process, injected)."""
+"""Tests for the worker pools (process and the injected test seam)."""
 
 import asyncio
-
-import pytest
 
 import repro.harness.diskcache as diskcache
 from repro.harness.profiling import PROFILER
@@ -13,7 +11,6 @@ from repro.service.workers import (
     ProcessWorkerPool,
     default_workers,
     idle_worker_stats,
-    make_pool,
 )
 from repro.workloads.suite import clear_trace_cache
 
@@ -37,11 +34,6 @@ def test_idle_worker_stats_zero_filled():
     assert histogram["sum"] == 0.0
     assert histogram["buckets"]  # full bucket array even while idle
     assert all(count == 0 for _, count in histogram["buckets"])
-
-
-def test_make_pool_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        make_pool("carrier-pigeon", 2)
 
 
 def test_injected_pool_runs_legacy_two_arg_call():

@@ -164,6 +164,22 @@ def test_serve_rejects_bad_knobs(capsys):
     assert "invalid --queue-depth" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("knobs, message", [
+    (["--jobs", "0"], "invalid --jobs"),
+    (["--jobs", "-5"], "invalid --jobs"),
+    (["--duration", "0"], "invalid --duration"),
+    (["--duration", "-1"], "invalid --duration"),
+    (["--rate", "0"], "invalid --rate"),
+])
+def test_loadtest_rejects_bad_knobs_before_connecting(knobs, message, capsys):
+    # Port 1 is never listening: a knob that slipped past validation
+    # would exit 1 (unreachable) rather than 2.
+    assert main(["loadtest", "--port", "1", *knobs]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_run_json_stats_block_covers_every_counter(capsys):
     import dataclasses
 
